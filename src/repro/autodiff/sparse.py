@@ -4,7 +4,10 @@ Graph propagation in every spectral filter is the product of a constant
 ``n × n`` sparse matrix (the normalized adjacency or Laplacian) with a dense
 ``n × F`` representation. The sparse operand never needs a gradient — the
 graph is data, not a parameter — so only the dense-side gradient
-``Pᵀ · grad_out`` is implemented.
+``Pᵀ · grad_out`` is implemented. The CSR backend computes it through
+scipy's CSC view ``csr.T``, which needs no materialized transpose and
+is byte-identical to ``csr.T.tocsr() @ grad_out``: both accumulate each
+output row over the same nonzeros in the same order.
 
 Two backends are provided, mirroring the paper's Table 6 comparison between
 PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
@@ -17,14 +20,11 @@ PyG's ``torch.sparse`` (SP) and ``EdgeIndex`` (EI) backends:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AutodiffError
 from ..runtime import blocked as _blocked
-from ..runtime import cache as _cache
 from .tensor import Tensor, _notify_alloc, _notify_op
 
 
@@ -53,21 +53,9 @@ def spmm(matrix: sp.spmatrix, dense: Tensor, backend: str = "csr") -> Tensor:
         data = _blocked.spmm_csr(csr, dense.data)
         width = dense.shape[1] if dense.ndim > 1 else 1
         _notify_op("spmm", 2 * csr.nnz * width, data.nbytes)
-        csr_t: Optional[sp.csr_matrix] = None
 
         def backward(grad: np.ndarray):
-            # The sparse operand is constant, so its transpose is too: the
-            # process-wide cache materializes Pᵀ once per matrix instead of
-            # once per forward closure (cache.spmm_t.* counters show the
-            # traffic). With caching disabled the seed behaviour returns:
-            # one materialization per closure, memoized across multiple
-            # backward passes through the same node.
-            nonlocal csr_t
-            if _cache.is_enabled():
-                return (_blocked.spmm_csr(_cache.transpose_csr(csr), grad),)
-            if csr_t is None:
-                csr_t = _cache.materialize_transpose(csr)
-            return (_blocked.spmm_csr(csr_t, grad),)
+            return (np.asarray(csr.T @ grad),)
 
         return Tensor._make(np.asarray(data), (dense,), backward, "spmm")
     if backend == "coo_gather":

@@ -37,11 +37,11 @@ and summaries; ``--gate`` additionally evaluates regression thresholds
 stage/summary metric over the fingerprint's last N runs).
 
 Caching: the sparse-compute cache layer (:mod:`repro.runtime.cache`) is on
-by default — spmm-backward transposes, per-graph normalized operators, and
-dense eigenpairs are memoized, with traffic on the ``cache.spmm_t.*`` /
-``cache.norm_adj.*`` / ``cache.eig.*`` counters. ``--no-cache`` bypasses
-every cache (the baseline mode used to measure the cache's own FLOP/byte
-delta with ``ops.spmm.*`` / ``ops.eig.*``). The basis planner
+by default — per-graph normalized operators and dense eigenpairs are
+memoized under exact content digests, with traffic on the
+``cache.norm_adj.*`` counters. ``--no-cache`` bypasses every cache (the
+baseline mode used to measure the cache's own FLOP/byte delta with
+``ops.spmm.*`` / ``ops.eig.*``). The basis planner
 (:mod:`repro.runtime.plan`) additionally dedups polynomial basis chains
 *across* the filters of a sweep (``plan.terms.*`` / ``plan.spmm_avoided``
 counters) without changing a single result bit; ``--no-plan`` bypasses
@@ -226,27 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable span/metric collection entirely")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the sparse-compute cache layer "
-                             "(spmm transpose + normalization + eig memos); "
-                             "implies --no-plan")
+                             "(normalization + eig memos); implies "
+                             "--no-plan and --no-shared-terms")
     parser.add_argument("--no-plan", action="store_true",
                         help="bypass the basis-term propagation planner "
                              "(every filter streams its own recurrence; "
                              "the baseline mode for measuring "
                              "plan.spmm_avoided)")
-    shared_group = parser.add_mutually_exclusive_group()
-    shared_group.add_argument(
-        "--shared-terms", action="store_true",
-        help="require the cross-process shared-memory term store: pool "
-             "workers attach planner-served basis chains (and the "
-             "spmm-transpose/normalization CSRs) published by their "
-             "siblings instead of recomputing them (grid sweeps with "
-             "--workers > 1; on by default there — this flag makes a "
-             "silently unavailable store an error)")
-    shared_group.add_argument(
+    parser.add_argument(
         "--no-shared-terms", action="store_true",
-        help="disable the shared term store; each pool worker recomputes "
-             "its own chains (the pre-shm baseline for measuring the "
-             "pooled ops.spmm.calls gap)")
+        help="disable the cross-process shared-memory term store (on by "
+             "default for grid sweeps with --workers > 1); each pool "
+             "worker recomputes its own chains (the pre-shm baseline for "
+             "measuring the pooled ops.spmm.calls gap)")
     parser.add_argument("--registry-dir", type=str, default=None,
                         metavar="DIR",
                         help="run-registry directory (default: "
@@ -492,19 +484,6 @@ def main(argv=None) -> int:
             parser.error("--root-seed applies to effectiveness only")
         kwargs["root_seed"] = args.root_seed
 
-    if args.shared_terms:
-        if args.experiment not in POOLED_EXPERIMENTS:
-            parser.error(f"--shared-terms applies to the grid sweeps only "
-                         f"({', '.join(POOLED_EXPERIMENTS)})")
-        if args.workers <= 1:
-            parser.error("--shared-terms requires --workers > 1 "
-                         "(a serial sweep already shares chains in-process)")
-        if args.no_cache:
-            parser.error("--shared-terms conflicts with --no-cache "
-                         "(the store is part of the cache layer)")
-        if not runtime_shm.supported():
-            parser.error("--shared-terms requires "
-                         "multiprocessing.shared_memory (POSIX)")
     # Default: sharing is ON for pooled grid sweeps — the store is what
     # keeps pooled ops.spmm.calls at serial levels with the planner on.
     # --no-plan only disables *chain* sharing (the planner is the chain
@@ -586,11 +565,7 @@ def main(argv=None) -> int:
     cache_was_enabled = runtime_cache.is_enabled()
     plan_was_enabled = runtime_plan.is_enabled()
     if args.no_cache:
-        from ..spectral.decomposition import clear_eig_cache
-
         runtime_cache.set_enabled(False)
-        runtime_cache.clear_transpose_cache()
-        clear_eig_cache()
     if args.no_plan or args.no_cache:
         runtime_plan.set_enabled(False)
     blocked_info = None

@@ -106,7 +106,7 @@ class PropagationContext:
 
         Repeated contexts on the same graph (across filters, schemes, and
         epochs) share one propagation matrix via the per-graph
-        normalization memo, and therefore one cached backward transpose.
+        normalization memo, and therefore one set of planner chains.
         """
         return cls(graph.normalized_adjacency(rho), backend=backend)
 

@@ -8,18 +8,24 @@ Notation follows the paper (Section 2.1):
   normalization coefficient ``ρ ∈ [0, 1]`` (ρ = 1/2 is the symmetric norm);
 - ``L̃``  — normalized Laplacian ``I − Ã``, whose eigenvalues live in [0, 2].
 
-Normalized operators are memoized per ``(operator, ρ, self_loops)`` through
-the instrumented LRU layer in :mod:`repro.runtime.cache` because every
+Normalized operators are memoized per ``(operator, ρ, self_loops)`` plus
+the exact adjacency digest (:func:`repro.runtime.cache.digest`) through
+the instrumented LRU layer in :mod:`repro.runtime.cache`, because every
 filter re-uses the same propagation matrix across hops, epochs, and
-(filter, scheme) sweep combinations. Memo traffic lands on the
-``cache.norm_adj.{hit,miss,evict}`` telemetry counters, and the memo is
-bypassed entirely while :func:`repro.runtime.cache.is_enabled` is false
-(the bench ``--no-cache`` mode).
+(filter, scheme) sweep combinations. The digest in the key means an
+in-place edit of ``adjacency`` is a miss, never a stale operator. The
+same memo holds the graph's eigenpairs
+(:func:`repro.spectral.decomposition.laplacian_eigendecomposition`), so
+everything derived from a graph lives exactly as long as the graph.
+Memo traffic lands on the ``cache.norm_adj.{hit,miss,evict}`` telemetry
+counters, and the memo is bypassed entirely while
+:func:`repro.runtime.cache.is_enabled` is false (the bench
+``--no-cache`` mode).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,13 +154,9 @@ class Graph:
         """
         if not 0.0 <= rho <= 1.0:
             raise GraphError(f"normalization coefficient must be in [0, 1], got {rho}")
-        key = ("adj", round(float(rho), 6), bool(self_loops))
-        if not _cache.is_enabled():
-            return self._build_normalized_adjacency(rho, self_loops)
-        return self._norm_memo.get_or_compute(
-            key, lambda: self._shared_norm(
-                key, lambda: self._build_normalized_adjacency(rho,
-                                                              self_loops)))
+        return self._shared_norm(
+            ("adj", round(float(rho), 6), bool(self_loops)),
+            lambda: self._build_normalized_adjacency(rho, self_loops))
 
     def _build_normalized_adjacency(self, rho: float,
                                     self_loops: bool) -> sp.csr_matrix:
@@ -170,33 +172,43 @@ class Graph:
 
     def laplacian(self, rho: float = 0.5, self_loops: bool = True) -> sp.csr_matrix:
         """Return the normalized Laplacian ``L̃ = I − Ã`` (memoized)."""
-        key = ("lap", round(float(rho), 6), bool(self_loops))
+        return self._shared_norm(
+            ("lap", round(float(rho), 6), bool(self_loops)),
+            lambda: self._build_laplacian(rho, self_loops))
+
+    def memoize(self, key: tuple, factory: Callable[[], Any]) -> Any:
+        """``factory()``, memoized in this graph's memo under ``key`` plus
+        the adjacency digest (recomputed on every call under
+        ``--no-cache``)."""
         if not _cache.is_enabled():
-            return self._build_laplacian(rho, self_loops)
+            return factory()
         return self._norm_memo.get_or_compute(
-            key, lambda: self._shared_norm(
-                key, lambda: self._build_laplacian(rho, self_loops)))
+            key + (_cache.digest(self.adjacency),), factory)
 
     def _shared_norm(self, key: tuple, builder) -> sp.csr_matrix:
-        """Fall through to the cross-process term store before building.
+        """Memoize a normalized operator, consulting the cross-process
+        term store before building.
 
         Pool workers synthesize content-identical graphs, so the first
         worker to normalize an operator publishes it and siblings attach
-        the same bytes instead of repeating the O(m) build. The
-        fingerprint binds the memo key to the adjacency payload token,
-        so a mutated graph can never be served a sibling's operator.
+        the same bytes instead of repeating the O(m) build. The blob is
+        addressed by the full memo key, adjacency digest included, so a
+        mutated graph can never be served a sibling's operator.
         """
-        handle = _shm.active_handle()
-        if handle is None:
-            return builder()
-        fingerprint = _shm.blob_fingerprint(
-            "norm", key, _cache.matrix_token(self.adjacency))
-        matrix = _cache.shared_csr_fetch(handle, fingerprint)
-        if matrix is not None:
+        def build() -> sp.csr_matrix:
+            handle = _shm.active_handle()
+            if handle is None:
+                return builder()
+            fingerprint = _shm.blob_fingerprint(
+                "norm", key, _cache.digest(self.adjacency))
+            matrix = _cache.shared_csr_fetch(handle, fingerprint)
+            if matrix is not None:
+                return matrix
+            matrix = builder()
+            _cache.shared_csr_publish(handle, fingerprint, matrix)
             return matrix
-        matrix = builder()
-        _cache.shared_csr_publish(handle, fingerprint, matrix)
-        return matrix
+
+        return self.memoize(key, build)
 
     def _build_laplacian(self, rho: float, self_loops: bool) -> sp.csr_matrix:
         identity = sp.identity(self.num_nodes, format="csr", dtype=np.float32)

@@ -20,18 +20,13 @@ from .artifacts import (
 from .cache import (
     MISSING,
     NORM_MEMO_ENTRIES,
-    TRANSPOSE_CACHE_ENTRIES,
     LRUCache,
     caches_disabled,
-    clear_transpose_cache,
     data_token,
+    digest,
     is_enabled as cache_enabled,
-    matrix_token,
     norm_memo,
     set_enabled as set_cache_enabled,
-    transpose_build_count,
-    transpose_cache_stats,
-    transpose_csr,
 )
 from .device import GIBIBYTE, DeviceModel, nbytes_of
 from .hardware import PROFILES, S1, S2, HardwareProfile
@@ -81,17 +76,12 @@ __all__ = [
     "LRUCache",
     "MISSING",
     "NORM_MEMO_ENTRIES",
-    "TRANSPOSE_CACHE_ENTRIES",
     "cache_enabled",
     "set_cache_enabled",
     "caches_disabled",
-    "clear_transpose_cache",
     "data_token",
-    "matrix_token",
+    "digest",
     "norm_memo",
-    "transpose_build_count",
-    "transpose_cache_stats",
-    "transpose_csr",
     # basis-term planner
     "BasisPlanner",
     "PLAN_CHAIN_ENTRIES",

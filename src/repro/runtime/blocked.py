@@ -16,8 +16,9 @@ makes those rows *measurable* instead of extrapolated:
 - **Spill store** — :class:`SpillStore` persists whole ``T^(k)(L̃)·X``
   term matrices as ``.npy`` files written atomically (tmp file +
   ``os.replace``) and serves them back as read-only ``numpy.memmap``
-  views, keyed by the planner's existing operator/signal fingerprints
-  (:func:`repro.runtime.shm.chain_fingerprint`). The basis planner's
+  views, keyed by the planner's chain key — exact operator and signal
+  digests (:func:`repro.runtime.shm.chain_fingerprint`) — plus the
+  term order. The basis planner's
   LRU (:mod:`repro.runtime.plan`) evicts chains *into* this store
   instead of dropping them, so a later filter re-requesting a spilled
   chain maps the identical bytes from disk rather than recomputing the
@@ -30,10 +31,13 @@ makes those rows *measurable* instead of extrapolated:
 Scope and lifetime: like the planner, the tier only acts inside a
 :func:`blocked_scope` (the bench CLI opens one under ``--blocked``).
 :func:`spmm_csr` is the single integration hook — the autodiff spmm
-paths (:mod:`repro.autodiff.sparse`) route every CSR product through it,
-so full-batch training, mini-batch precompute, and per-cluster GP
-propagation all tile transparently when a scope is active and run the
-original one-shot product otherwise.
+paths (:mod:`repro.autodiff.sparse`) route every forward CSR product
+through it, so full-batch training, mini-batch precompute, and
+per-cluster GP propagation all tile transparently when a scope is active
+and run the original one-shot product otherwise. The spmm backward,
+``Pᵀ · grad`` through scipy's CSC view of ``P``, is not tiled: the
+one-shot product writes straight into its output, so a tiled one would
+only add row-slice copies.
 
 Counters emitted (when telemetry is configured):
 
@@ -123,7 +127,7 @@ def blocked_spmm(csr: sp.csr_matrix, dense: np.ndarray, block_rows: int,
 
 
 def _spill_digest(key: Any) -> str:
-    """Stable file name for a spill key (fingerprint tuples/strings)."""
+    """Stable file name for a spill key (``(chain key, order)``)."""
     encoded = json.dumps(key, sort_keys=True, default=str,
                          separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
@@ -135,9 +139,9 @@ class SpillStore:
     Writes go to a temp file in the store directory and land via
     ``os.replace`` — a reader can never observe a torn matrix, and a
     crashed writer leaves only a ``.tmp`` file the next :meth:`purge`
-    sweeps. Keys are the planner's content fingerprints, so the store is
-    safe to share across runs of identical configurations (same key ⇒
-    byte-identical payload by the planner's bit-identity contract).
+    sweeps. Keys are the planner's content-digest chain keys, so the
+    store is safe to share across runs of identical configurations (same
+    key ⇒ byte-identical payload by the planner's bit-identity contract).
     """
 
     def __init__(self, root: os.PathLike):

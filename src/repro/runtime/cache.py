@@ -1,27 +1,23 @@
-"""repro.runtime.cache — instrumented memoization for the sparse hot paths.
+"""repro.runtime.cache — exact content identity and instrumented memoization.
 
 The paper's efficiency story hinges on the propagation stage: precompute
-and spmm dominate time and RAM across the FB/MB/GP schemes (Section 5).
-PR 1's op counters made two forms of recomputation visible:
+and spmm dominate time and RAM across the FB/MB/GP schemes (Section 5),
+and ``normalized_adjacency`` would otherwise be rebuilt per (filter,
+scheme) combination inside sweep loops. This module holds the two
+pieces every cache in the runtime is built from:
 
-1. ``spmm`` backward re-materialized ``csr.T.tocsr()`` on every call —
-   once per epoch per propagation hop, for a matrix that never changes.
-2. ``normalized_adjacency`` was rebuilt per (filter, scheme) combination
-   inside sweep loops, so the ``precompute`` span dominated small-graph
-   efficiency runs.
-
-This module closes both with a small, observable memoization layer:
-
+- :func:`digest` — the one content identity: SHA-256 over an array's or
+  sparse matrix's format, shape, dtypes and raw bytes. Every cache key
+  under ``runtime/``, ``graph/`` and ``spectral/`` includes the digest of
+  the content it was computed from, so equal bytes hit and anything
+  else — an in-place edit, a swapped element, a ``-0.0`` — misses.
+  Cached ≡ uncached therefore holds by construction, not by sampling.
 - :class:`LRUCache` — a bounded, thread-safe, move-to-front cache whose
   hits / misses / evictions are both tracked locally and mirrored into
   telemetry counters (``<prefix>.hit`` / ``.miss`` / ``.evict``), so any
-  trace shows exactly what the caches did.
-- :func:`transpose_csr` — a process-wide cache of ``Pᵀ`` keyed by the
-  identity of the forward-pass matrix and validated against a mutation
-  fingerprint (:func:`matrix_token`), so an in-place edit of the sparse
-  data invalidates the entry instead of silently serving stale bytes.
-- Per-graph normalization memos use :class:`LRUCache` directly (see
-  :meth:`repro.graph.graph.Graph.normalized_adjacency`).
+  trace shows exactly what the caches did. The per-graph memo
+  (:func:`norm_memo`, used by :meth:`repro.graph.graph.Graph.memoize`)
+  holds normalized operators and eigenpairs.
 
 Everything respects a single process-wide switch (:func:`set_enabled`,
 ``--no-cache`` on the bench CLI). Disabled means *bypass*: callers
@@ -30,16 +26,14 @@ property-test suite assert bit-identical numerics cached vs. uncached.
 
 Counters emitted (when telemetry is configured):
 
-- ``cache.spmm_t.{hit,miss,evict}`` — transpose cache traffic.
-- ``cache.norm_adj.{hit,miss,evict}`` — normalization memo traffic.
-- ``ops.spmm.transpose_builds`` — actual ``csr.T.tocsr()``
-  materializations; with the cache on this stays at ≤ 1 per matrix.
+- ``cache.norm_adj.{hit,miss,evict}`` — per-graph memo traffic
+  (normalized operators and eigenpairs).
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Tuple
@@ -48,15 +42,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import telemetry
-from . import shm
 
-#: Default bound on process-wide cached transposes. MB sweeps touch many
-#: graphs; bounding the entry count keeps host RAM growth bounded too.
-TRANSPOSE_CACHE_ENTRIES = 32
-
-#: Default bound on per-graph normalization memo entries — one entry per
-#: distinct (operator, ρ, self-loops) key, so 16 covers every sweep in the
-#: bench suite with room to spare.
+#: Default bound on per-graph memo entries — one entry per distinct
+#: (kind, ρ, self-loops, adjacency digest) key, so 16 covers every sweep
+#: in the bench suite with room to spare.
 NORM_MEMO_ENTRIES = 16
 
 _MISSING = object()
@@ -134,19 +123,10 @@ class LRUCache:
         if self.counter_prefix is not None:
             telemetry.inc_counter(f"{self.counter_prefix}.{outcome}")
 
-    def get(self, key: Any,
-            validate: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Return the cached value or ``MISSING``; refreshes recency.
-
-        ``validate(value)`` may reject a structurally-present entry (e.g.
-        the cached matrix was mutated); rejection counts as a miss and
-        drops the entry.
-        """
+    def get(self, key: Any) -> Any:
+        """Return the cached value or ``MISSING``; refreshes recency."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
-            if value is not _MISSING and validate is not None and not validate(value):
-                del self._entries[key]
-                value = _MISSING
             if value is _MISSING:
                 self.misses += 1
                 self._count("miss")
@@ -193,10 +173,9 @@ class LRUCache:
                 return key, value
             return None
 
-    def get_or_compute(self, key: Any, factory: Callable[[], Any],
-                       validate: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Memoized call: cached value when valid, else ``factory()``."""
-        value = self.get(key, validate=validate)
+    def get_or_compute(self, key: Any, factory: Callable[[], Any]) -> Any:
+        """Memoized call: the cached value, else ``factory()``."""
+        value = self.get(key)
         if value is _MISSING:
             value = factory()
             self.put(key, value)
@@ -228,16 +207,15 @@ MISSING = _MISSING
 def data_token(value: Any) -> str:
     """Stable content fingerprint of plain config-like data (16 hex chars).
 
-    The third token family next to :func:`matrix_token` (sparse payloads)
-    and :func:`repro.runtime.plan.array_token` (dense signals): dicts,
-    dataclasses (e.g. :class:`~repro.training.loop.TrainConfig`), tuples,
-    numpy scalars, and ``None`` all reduce through the manifest's
-    JSON-stable ``_plain`` normalization before hashing, so logically
+    The config-side counterpart of :func:`digest` (arrays and sparse
+    payloads): dicts, dataclasses (e.g.
+    :class:`~repro.training.loop.TrainConfig`), tuples, numpy scalars,
+    and ``None`` all reduce through the manifest's JSON-stable
+    ``_plain`` normalization before hashing, so logically
     equal configurations fingerprint identically across processes and
     runs. The artifact store (:mod:`repro.runtime.artifacts`) keys cell
     content addresses on it.
     """
-    import hashlib
     import json
 
     from ..telemetry.manifest import _plain
@@ -247,93 +225,33 @@ def data_token(value: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def matrix_token(matrix: sp.spmatrix) -> Tuple:
-    """Cheap mutation fingerprint of a sparse matrix's payload.
+def digest(value: Any) -> str:
+    """Exact content identity of a dense array or scipy sparse matrix.
 
-    Combines shape, nnz, dtype, and a strided checksum of the data array
-    (≤ 64 samples plus the exact endpoints), so in-place edits of values
-    or structure change the token with overwhelming probability while the
-    cost stays O(1)-ish relative to an spmm over the same matrix.
+    SHA-256 over the format, shape, the dtype and length of each payload
+    array, and the raw C-order bytes of those arrays (``indptr``,
+    ``indices``, ``data`` for CSR/CSC; the buffer itself for dense
+    input). Two values share a digest iff all of these are equal, so a
+    cache keyed on it serves a hit only for byte-identical content —
+    ``+0.0`` and ``-0.0``, unsorted and sorted indices, ``float32`` and
+    ``float64`` all stay distinct. Other sparse formats hash their CSR
+    conversion under their own format name.
     """
-    data = matrix.data
-    nnz = int(data.shape[0]) if data.ndim else 0
-    if nnz == 0:
-        checksum = 0.0
+    if sp.issparse(value):
+        fmt = value.format
+        if fmt not in ("csr", "csc"):
+            value = value.tocsr()
+        parts = (value.indptr, value.indices, value.data)
     else:
-        stride = max(1, nnz // 64)
-        sample = data[::stride]
-        checksum = float(np.asarray(sample, dtype=np.float64).sum())
-        checksum += float(data[0]) * 3.0 + float(data[-1]) * 7.0
-    return (matrix.shape, nnz, data.dtype.str, checksum)
-
-
-_transpose_cache = LRUCache(TRANSPOSE_CACHE_ENTRIES,
-                            counter_prefix="cache.spmm_t")
-_transpose_builds = 0
-_builds_lock = threading.Lock()
-
-
-def materialize_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Build ``matrixᵀ`` in CSR form, counting the materialization.
-
-    Every actual ``.T.tocsr()`` in the process funnels through here so
-    ``ops.spmm.transpose_builds`` is the ground truth the bench gate and
-    the acceptance criterion (≤ 1 build per matrix with the cache on)
-    read.
-    """
-    global _transpose_builds
-    with _builds_lock:
-        _transpose_builds += 1
-    transposed = matrix.T.tocsr()
-    telemetry.inc_counter("ops.spmm.transpose_builds")
-    telemetry.inc_counter("ops.spmm.transpose_bytes",
-                          transposed.data.nbytes + transposed.indices.nbytes
-                          + transposed.indptr.nbytes)
-    return transposed
-
-
-def transpose_build_count() -> int:
-    """Process-wide count of actual transpose materializations."""
-    return _transpose_builds
-
-
-def transpose_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Cached ``matrixᵀ`` (CSR), keyed by matrix identity + content token.
-
-    The entry is bound to the *object*: a weak reference proves the key's
-    ``id`` still names the same matrix (ids recycle after GC), and the
-    token proves its payload was not mutated since caching. Either check
-    failing turns the lookup into a miss and rebuilds the transpose.
-    """
-    if not is_enabled():
-        return materialize_transpose(matrix)
-    key = id(matrix)
-    token = matrix_token(matrix)
-
-    def validate(entry) -> bool:
-        ref, cached_token, _ = entry
-        return ref() is matrix and cached_token == token
-
-    cached = _transpose_cache.get(key, validate=validate)
-    if cached is not _MISSING:
-        return cached[2]
-    handle = shm.active_handle()
-    transposed = None
-    fingerprint = None
-    if handle is not None:
-        fingerprint = shm.blob_fingerprint("spmm_t", token)
-        transposed = shared_csr_fetch(handle, fingerprint)
-    if transposed is None:
-        transposed = materialize_transpose(matrix)
-        if handle is not None:
-            shared_csr_publish(handle, fingerprint, transposed)
-
-    def _on_collect(_ref, _key=key):
-        _transpose_cache.discard(_key)
-
-    _transpose_cache.put(key, (weakref.ref(matrix, _on_collect), token,
-                               transposed))
-    return transposed
+        value = np.asarray(value)
+        fmt = "dense"
+        parts = (value,)
+    header = (fmt, tuple(value.shape),
+              tuple((part.dtype.str, int(part.size)) for part in parts))
+    hasher = hashlib.sha256(repr(header).encode("utf-8"))
+    for part in parts:
+        hasher.update(np.ascontiguousarray(part).data)
+    return hasher.hexdigest()
 
 
 def shared_csr_fetch(handle, fingerprint: str) -> Optional[sp.csr_matrix]:
@@ -368,21 +286,6 @@ def shared_csr_publish(handle, fingerprint: str, matrix: sp.spmatrix) -> bool:
         fingerprint,
         {"data": csr.data, "indices": csr.indices, "indptr": csr.indptr},
         {"shape": list(csr.shape), "sorted": bool(csr.has_sorted_indices)})
-
-
-def transpose_cache_stats() -> dict:
-    """Traffic/occupancy snapshot of the process-wide transpose cache."""
-    stats = _transpose_cache.stats()
-    stats["builds"] = _transpose_builds
-    return stats
-
-
-def clear_transpose_cache() -> None:
-    """Empty the transpose cache and reset its counters (tests, CLI)."""
-    global _transpose_builds
-    _transpose_cache.clear()
-    with _builds_lock:
-        _transpose_builds = 0
 
 
 def norm_memo(capacity: int = NORM_MEMO_ENTRIES) -> LRUCache:

@@ -10,28 +10,31 @@ Laplacian-power stage is the same chain FBGNN/ACMGNN/AdaGNN precompute,
 and so on. Without planning the sweep pays for each chain once per
 filter × seed; with it, once per (operator, signal, basis family).
 
-The planner canonicalizes each filter's recurrence into a *chain*:
+The planner canonicalizes each filter's recurrence into a *chain*
+keyed by :func:`repro.runtime.shm.chain_fingerprint` over
 
-- an **operator fingerprint** — the propagation matrix's identity plus
-  the mutation token from :func:`repro.runtime.cache.matrix_token` (the
-  matrix itself already encodes ρ/self-loops via the per-graph
-  normalization memo) and the spmm backend;
-- a **signal fingerprint** — the identity + content token of ``X``;
+- the **operator digest** — :func:`repro.runtime.cache.digest` of the
+  propagation matrix (which already encodes ρ/self-loops) — and the
+  spmm backend;
+- the **signal digest** of ``X``;
 - a **basis family + scaling** — e.g. ``("jacobi", (a, b))`` — naming
   the recurrence step;
 
-and serves order-k terms from a bounded, instrumented term store.
+and serves order-k terms from a bounded, instrumented term store. The
+digests are exact, so an in-place edit of the operator or the signal
+always lands on a different chain, and content-equal inputs share one.
+The same key addresses the chain in the cross-process store and the
+spill store.
 Requests extend a chain incrementally: a later filter asking for a
 higher order recomputes only the missing suffix, never the shared
 prefix. Recurrence steps run through preallocated ping-pong scratch
 buffers (dirty-checked per shape/dtype) so the planned numpy path
 allocates one fresh array per stored term and zero per-step temporaries.
 
-**Bit-identity guarantee** (same contract as the spmm transpose cache):
-the planned and unplanned paths execute the *same floating-point
-operations in the same order* — the in-place kernels mirror the
-streaming expressions ufunc by ufunc — so enabling the planner never
-changes a single result bit. The hypothesis suite in
+**Bit-identity guarantee**: the planned and unplanned paths execute the
+*same floating-point operations in the same order* — the in-place
+kernels mirror the streaming expressions ufunc by ufunc — so enabling
+the planner never changes a single result bit. The hypothesis suite in
 ``tests/test_runtime_plan.py`` holds every family to this property.
 
 Scope and lifetime: the store only exists inside a :func:`plan_scope`
@@ -59,10 +62,10 @@ Spill tier: inside a :func:`repro.runtime.blocked.blocked_scope` the
 store gains a disk-backed level. Evicting a chain — by LRU capacity or
 because resident term bytes exceed the tier's byte budget — writes its
 computed ``T^(k)(L̃)·X`` terms to the tier's :class:`~repro.runtime
-.blocked.SpillStore` (atomic ``.npy`` files keyed by the chain's content
-fingerprint + order) instead of dropping them; a later request for the
-same chain maps the identical bytes back read-only (``numpy.memmap``)
-rather than recomputing the spmm suffix. Spilled-then-reloaded terms are
+.blocked.SpillStore` (atomic ``.npy`` files keyed by the chain key +
+order) instead of dropping them; a later request for the same chain
+maps the identical bytes back read-only (``numpy.memmap``) rather than
+recomputing the spmm suffix. Spilled-then-reloaded terms are
 bit-identical by construction, so the planner's bit-identity guarantee
 is unchanged.
 
@@ -92,7 +95,7 @@ from .. import telemetry
 from . import blocked as runtime_blocked
 from . import cache as runtime_cache
 from . import shm as runtime_shm
-from .cache import LRUCache, MISSING, matrix_token
+from .cache import LRUCache, MISSING, digest
 
 #: Default bound on live chains per planner. Each chain holds up to K+1
 #: dense (n, F) terms, so the bound — not the term count — is what caps
@@ -125,28 +128,6 @@ def plans_disabled() -> Iterator[None]:
         yield
     finally:
         set_enabled(previous)
-
-
-def array_token(array: np.ndarray) -> Tuple:
-    """Cheap mutation fingerprint of a dense signal's payload.
-
-    The signal-side analogue of :func:`repro.runtime.cache.matrix_token`:
-    shape, dtype, and a strided checksum (≤ 64 samples plus the exact
-    endpoints), so an in-place edit of ``X`` invalidates every chain
-    keyed on it with overwhelming probability.
-    """
-    data = np.asarray(array)
-    size = int(data.size)
-    if size == 0:
-        checksum = 0.0
-    else:
-        flat = data.reshape(-1) if data.flags["C_CONTIGUOUS"] \
-            else np.ravel(data)
-        stride = max(1, size // 64)
-        sample = flat[::stride]
-        checksum = float(np.asarray(sample, dtype=np.float64).sum())
-        checksum += float(flat[0]) * 3.0 + float(flat[-1]) * 7.0
-    return (tuple(data.shape), data.dtype.str, checksum)
 
 
 # ======================================================================
@@ -382,15 +363,9 @@ def stream_chain(ctx, x, family: str, params: Tuple, count: int):
 # ======================================================================
 @dataclass
 class _ChainEntry:
-    matrix_ref: weakref.ref
-    matrix_token: Tuple
-    x_token: Tuple
-    #: ``terms[0]`` is the signal itself; computed terms are read-only.
+    #: ``terms[0]`` is the requesting signal; computed terms are read-only.
     terms: List[Any]
     spmm_per_step: int
-    #: Content fingerprint used as the spill-store key (computed only
-    #: inside a blocked scope; ``None`` otherwise).
-    fingerprint: Optional[str] = None
     #: RAM held by locally-computed terms (memmap/shm-served terms are
     #: file- or segment-backed and excluded), driving budget eviction.
     resident_bytes: int = 0
@@ -399,11 +374,11 @@ class _ChainEntry:
 class BasisPlanner:
     """Bounded, instrumented store of basis chains for one sweep scope.
 
-    Chains are keyed by (operator identity + mutation token + backend,
-    signal identity + mutation token, family, scaling params) and extend
-    incrementally: serving ``count`` terms reuses the stored prefix and
-    computes only the missing suffix through the family's in-place
-    kernels. Computed terms are returned read-only — they are shared
+    Chains are keyed by (operator digest, backend, signal digest, family,
+    scaling params) — see :func:`repro.runtime.shm.chain_fingerprint` —
+    and extend incrementally: serving ``count`` terms reuses the stored
+    prefix and computes only the missing suffix through the family's
+    in-place kernels. Computed terms are returned read-only — they are shared
     across filters, so a consumer mutating one would corrupt its
     siblings; making that a loud ``ValueError`` instead of silent
     corruption is part of the bit-identity contract.
@@ -431,15 +406,15 @@ class BasisPlanner:
         self._resident_bytes -= entry.resident_bytes
         entry.resident_bytes = 0
         tier = runtime_blocked.active_tier()
-        if tier is None or entry.fingerprint is None:
+        if tier is None:
             return
         spilled = 0
         for order, term in enumerate(entry.terms):
             if order == 0 or isinstance(term, np.memmap):
                 # The signal belongs to the caller; memmap terms already
-                # live in the store under this same fingerprint.
+                # live in the store under this same key.
                 continue
-            if tier.spill.put((entry.fingerprint, order), term):
+            if tier.spill.put((key, order), term):
                 spilled += 1
         if spilled:
             self.terms_spilled += spilled
@@ -460,31 +435,18 @@ class BasisPlanner:
                     count: int) -> Sequence[np.ndarray]:
         """Serve ``count`` chain terms, computing only the missing suffix."""
         fam = _family(family)
-        matrix = ctx.matrix
-        key = (id(matrix), ctx.backend, id(x), fam.name, params)
-        token = matrix_token(matrix)
-        x_tok = array_token(x)
-
-        def validate(entry: _ChainEntry) -> bool:
-            return (entry.matrix_ref() is matrix
-                    and entry.matrix_token == token
-                    and entry.x_token == x_tok)
-
+        key = runtime_shm.chain_fingerprint(digest(ctx.matrix), ctx.backend,
+                                            digest(x), fam.name, params)
         with self._lock:
-            entry = self._chains.get(key, validate=validate)
+            entry = self._chains.get(key)
             if entry is MISSING:
-                chains = self._chains
-
-                def _purge(_ref, _key=key, _chains=chains):
-                    _chains.discard(_key)
-
-                entry = _ChainEntry(weakref.ref(matrix, _purge), token,
-                                    x_tok, [x], fam.spmm_per_step)
+                entry = _ChainEntry([x], fam.spmm_per_step)
                 self._chains.put(key, entry)
-            if entry.fingerprint is None \
-                    and runtime_blocked.active_tier() is not None:
-                entry.fingerprint = runtime_shm.chain_fingerprint(
-                    token, ctx.backend, x_tok, fam.name, params)
+                # Release the chain when its operator dies.
+                weakref.finalize(ctx.matrix, self._chains.discard, key)
+            # A content-equal signal may be another object: term 0 (and
+            # the recurrence seed) is always the caller's own.
+            entry.terms[0] = x
             hits = max(min(len(entry.terms), count) - 1, 0)
             if hits:
                 self.terms_served += hits
@@ -493,14 +455,12 @@ class BasisPlanner:
                 telemetry.inc_counter("plan.spmm_avoided",
                                       hits * fam.spmm_per_step)
             if len(entry.terms) < count:
-                self._extend_chain(ctx, x, fam, params, count, entry,
-                                   token, x_tok)
+                self._extend_chain(ctx, x, fam, params, count, entry, key)
                 self._enforce_term_budget(key)
             return list(entry.terms[:count])
 
     def _extend_chain(self, ctx, x, fam: ChainFamily, params: Tuple,
-                      count: int, entry: _ChainEntry, token: Tuple,
-                      x_tok: Tuple) -> None:
+                      count: int, entry: _ChainEntry, key: str) -> None:
         """Extend a chain to ``count`` terms, sharing across processes.
 
         With a shared store attached (:func:`repro.runtime.shm
@@ -514,13 +474,10 @@ class BasisPlanner:
         this is exactly the original local compute loop.
         """
         shared = runtime_shm.active_handle()
-        fingerprint = None
         claimed = False
         if shared is not None:
-            fingerprint = runtime_shm.chain_fingerprint(
-                token, ctx.backend, x_tok, fam.name, params)
             served, claimed = shared.plan_chain(
-                fingerprint, have=len(entry.terms) - 1, want=count - 1)
+                key, have=len(entry.terms) - 1, want=count - 1)
             if served:
                 entry.terms.extend(served)
                 self.terms_served += len(served)
@@ -530,10 +487,10 @@ class BasisPlanner:
         # Spill tier (blocked scope): terms this planner evicted to disk
         # earlier map back read-only instead of recomputing the suffix.
         tier = runtime_blocked.active_tier()
-        if tier is not None and entry.fingerprint is not None:
+        if tier is not None:
             loaded = 0
             while len(entry.terms) < count:
-                term = tier.spill.get((entry.fingerprint, len(entry.terms)))
+                term = tier.spill.get((key, len(entry.terms)))
                 if term is None:
                     break
                 entry.terms.append(term)
@@ -564,17 +521,17 @@ class BasisPlanner:
                 telemetry.inc_counter("plan.terms.miss")
         except BaseException:
             if claimed:
-                shared.abandon_claim(fingerprint)
+                shared.abandon_claim(key)
             raise
         if shared is not None and computed:
             # Opportunistic even without a claim: a waiter that timed out
             # still offers its suffix; publish_terms refuses stale
             # offsets, so the first publisher always wins.
-            if not shared.publish_terms(fingerprint, first_order, computed) \
+            if not shared.publish_terms(key, first_order, computed) \
                     and claimed:
-                shared.abandon_claim(fingerprint)
+                shared.abandon_claim(key)
         elif claimed:
-            shared.abandon_claim(fingerprint)
+            shared.abandon_claim(key)
 
     def clear(self) -> None:
         """Drop every chain and scratch buffer (scope exit, tests)."""

@@ -6,12 +6,10 @@ cell, so a pooled sweep rebuilds identical ``Ã^k X`` chains in every
 worker and ``ops.spmm.calls`` balloons to ``~workers×`` the serial
 count. This module closes that gap. A sweep-scoped
 :class:`SharedTermStore` publishes planner-computed terms (and the
-spmm-transpose / normalization CSR blobs from
-:mod:`repro.runtime.cache` / :mod:`repro.graph.graph`) into
+normalized-operator CSR blobs from :mod:`repro.graph.graph`) into
 ``multiprocessing.shared_memory`` segments; workers attach read-only
-numpy views keyed by the same content fingerprints the in-process
-caches already use (:func:`repro.runtime.cache.matrix_token`,
-:func:`repro.runtime.plan.array_token`).
+numpy views keyed by the same keys the in-process caches use, all
+built on the exact content digest :func:`repro.runtime.cache.digest`.
 
 Layout
 ------
@@ -66,8 +64,7 @@ Counters (when telemetry is configured):
 
 - ``shm.terms.{hit,publish,evict}`` — term traffic through the index.
 - ``shm.terms.attach`` — data segments mapped into this process.
-- ``shm.blobs.{hit,publish}`` — CSR blob traffic (spmm-transpose,
-  normalization).
+- ``shm.blobs.{hit,publish}`` — normalized-operator CSR blob traffic.
 - ``shm.claims.{adopted,timeout}`` — stale-claim adoptions and waiter
   give-ups.
 - ``shm.lock.timeout`` / ``shm.index.corrupt`` — store degraded to
@@ -237,19 +234,21 @@ def _write_index_buf(buf, index: dict) -> bool:
 def _digest(parts: Sequence[Any]) -> str:
     blob = json.dumps(list(parts), sort_keys=True, default=repr,
                       separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(blob).hexdigest()
 
 
-def chain_fingerprint(matrix_tok: Tuple, backend: str, x_tok: Tuple,
+def chain_fingerprint(matrix_digest: str, backend: str, x_digest: str,
                       family: str, params: Tuple) -> str:
-    """Content address of a basis chain: operator token + backend +
-    signal token + family + scaling params — the cross-process analogue
-    of the planner's ``id()``-based local key."""
-    return _digest(["chain", matrix_tok, backend, x_tok, family, params])
+    """Content address of a basis chain: operator digest + backend +
+    signal digest + family + scaling params. The basis planner keys its
+    in-process store, this index and the blocked tier's spill store all
+    on it."""
+    return _digest(["chain", matrix_digest, backend, x_digest, family,
+                    params])
 
 
 def blob_fingerprint(kind: str, *parts: Any) -> str:
-    """Content address of a CSR blob (``spmm_t``, ``norm`` …)."""
+    """Content address of a CSR blob (``norm`` …)."""
     return _digest(["blob", kind, *parts])
 
 
@@ -623,7 +622,7 @@ class _StoreClient:
 
         self._with_index(step)
 
-    # -- blob protocol (spmm-transpose / normalization CSR) -------------
+    # -- blob protocol (normalized-operator CSR) ------------------------
     def fetch_blob(self, fp: str) -> Optional[Tuple[Dict[str, np.ndarray],
                                                     dict]]:
         """Attach a published blob: ``(name → read-only array, meta)``."""

@@ -7,10 +7,7 @@ from .guidelines import (
     recommend_filters,
 )
 from .decomposition import (
-    EIG_CACHE_ENTRIES,
     MAX_DENSE_NODES,
-    clear_eig_cache,
-    eig_cache_stats,
     extremal_eigenvalues,
     laplacian_eigendecomposition,
     spectral_density,
@@ -28,9 +25,6 @@ __all__ = [
     "extremal_eigenvalues",
     "spectral_density",
     "MAX_DENSE_NODES",
-    "EIG_CACHE_ENTRIES",
-    "clear_eig_cache",
-    "eig_cache_stats",
     "response_on_grid",
     "response_on_spectrum",
     "low_frequency_mass",

@@ -15,17 +15,17 @@ eigendecomposition (reduction to tridiagonal + QR iteration + back-
 transform); the Lanczos path reports an order-of-magnitude estimate from
 the matvec volume.
 
-Caching: dense eigenpairs are memoized through
-:mod:`repro.runtime.cache` keyed on (graph identity, adjacency mutation
-fingerprint, ρ) with traffic on ``cache.eig.{hit,miss,evict}``. Cached
-arrays are returned read-only so a caller cannot silently corrupt the
-shared spectra; the memo is bypassed entirely under ``--no-cache`` /
+Caching: dense eigenpairs are memoized in the graph's own memo
+(:meth:`repro.graph.graph.Graph.memoize`) keyed on (ρ, exact adjacency
+digest), so they live exactly as long as the graph, an in-place edit of
+the adjacency is a miss, and traffic lands on ``cache.norm_adj.*``.
+Cached arrays are returned read-only so a caller cannot silently corrupt
+the shared spectra; the memo is bypassed entirely under ``--no-cache`` /
 :func:`repro.runtime.cache.caches_disabled`, restoring seed behaviour.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Tuple
 
 import numpy as np
@@ -40,9 +40,6 @@ from ..runtime import cache as _cache
 #: Dense decomposition guardrail; above this the O(n³) cost is the point
 #: the paper makes about decomposition-based frameworks.
 MAX_DENSE_NODES = 5000
-
-#: Bound on memoized eigenpairs; each entry is O(n²) floats, so keep few.
-EIG_CACHE_ENTRIES = 8
 
 #: FLOPs of a full symmetric eigendecomposition: tridiagonal reduction
 #: (4/3 n³) + implicit-QR eigenvalues + accumulating the eigenvector
@@ -66,19 +63,6 @@ def _decompose_dense(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
-_eig_cache = _cache.LRUCache(EIG_CACHE_ENTRIES, counter_prefix="cache.eig")
-
-
-def clear_eig_cache() -> None:
-    """Drop every memoized eigenpair (tests, ``--no-cache`` resets)."""
-    _eig_cache.clear()
-
-
-def eig_cache_stats() -> dict:
-    """Traffic/occupancy snapshot of the eigenpair memo."""
-    return _eig_cache.stats()
-
-
 def laplacian_eigendecomposition(
     graph: Graph, rho: float = 0.5
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -88,9 +72,9 @@ def laplacian_eigendecomposition(
     symmetric; for ρ ≠ 1/2 it is similar to the symmetric one, and we
     decompose the symmetric similar matrix so eigenvalues stay real.
 
-    Results are memoized per (graph, adjacency fingerprint, ρ): repeated
-    calls on an unmutated graph return the same (read-only) arrays and
-    count a ``cache.eig.hit`` instead of re-running the O(n³) solve.
+    Results are memoized in the graph's memo per (ρ, adjacency digest):
+    repeated calls on an unmutated graph return the same (read-only)
+    arrays instead of re-running the O(n³) solve.
     """
     n = graph.num_nodes
     if n > MAX_DENSE_NODES:
@@ -99,28 +83,16 @@ def laplacian_eigendecomposition(
             f"(got {n}); use extremal_eigenvalues for large graphs"
         )
     if not _cache.is_enabled():
-        return _decompose_dense(graph)
+        return _decompose_dense(graph)  # seed behaviour: writable arrays
+    return graph.memoize(("eig", float(rho)),
+                         lambda: _decompose_frozen(graph))
 
-    key = (id(graph), float(rho))
-    token = _cache.matrix_token(graph.adjacency)
 
-    def validate(entry) -> bool:
-        ref, cached_token, _ = entry
-        return ref() is graph and cached_token == token
-
-    cached = _eig_cache.get(key, validate=validate)
-    if cached is not _cache.MISSING:
-        return cached[2]
+def _decompose_frozen(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     eigenvalues, eigenvectors = _decompose_dense(graph)
     # Shared across callers from now on — freeze to catch silent mutation.
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-
-    def _on_collect(_ref, _key=key):
-        _eig_cache.discard(_key)
-
-    _eig_cache.put(key, (weakref.ref(graph, _on_collect), token,
-                         (eigenvalues, eigenvectors)))
     return eigenvalues, eigenvectors
 
 

@@ -309,9 +309,9 @@ def memory_block(events=(), metrics: Optional[Mapping] = None) -> Dict:
                 device_peak = max(device_peak, int(value))
     summary["device_peak_bytes"] = device_peak
 
-    # Shared-memory term store footprint (pooled sweeps with
-    # --shared-terms): the peak published payload bytes, folded in from
-    # whichever process set the gauge highest. Absent gauge → no key, so
+    # Shared-memory term store footprint (pooled sweeps): the peak
+    # published payload bytes, folded in from whichever process set the
+    # gauge highest. Absent gauge → no key, so
     # serial/unshared records are byte-identical to pre-shm ones.
     shm_peak = None
     if isinstance(gauges, Mapping):

@@ -110,7 +110,7 @@ def test_backends_agree(small_graph, signal, name):
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_precompute_identical_with_cache_on_and_off(small_graph, signal, name):
-    """The normalization memo + transpose cache never change channel bytes."""
+    """The normalization memo and the planner never change channel bytes."""
     from repro.runtime import cache
 
     filter_ = make_filter(name, num_hops=4, num_features=signal.shape[1])
@@ -135,7 +135,6 @@ def test_forward_gradients_identical_with_cache_on_and_off(small_graph, signal):
         out.sum().backward()
         return out.data, theta.grad
 
-    cache.clear_transpose_cache()
     cached_out, cached_grad = run()
     with cache.caches_disabled():
         plain_out, plain_grad = run()

@@ -190,6 +190,20 @@ class TestInvalidation:
             terms = planner.chain_terms(ctx, x, "monomial_adj", (), 3)
             assert terms[1].tobytes() == np.asarray(matrix @ x).tobytes()
 
+    def test_equal_signals_share_a_chain_seeded_by_the_caller(self):
+        graph = _random_graph(20, seed=15)
+        matrix = graph.normalized_adjacency(0.5)
+        ctx = PropagationContext(matrix)
+        x1 = np.asarray(graph.features, dtype=np.float32).copy()
+        x2 = x1.copy()
+        with plan.plan_scope() as planner:
+            planner.chain_terms(ctx, x1, "monomial_adj", (), 1)
+            x1 += 1.0  # the chain's first requester changes afterwards
+            terms = planner.chain_terms(ctx, x2, "monomial_adj", (), 3)
+            assert planner.stats()["chains"] == 1
+            assert terms[0] is x2
+            assert terms[1].tobytes() == np.asarray(matrix @ x2).tobytes()
+
     def test_dead_matrix_purges_chain(self):
         graph = _random_graph(18, seed=14)
         x = np.asarray(graph.features, dtype=np.float32)
@@ -358,18 +372,18 @@ class TestBypassAndScopes:
 
 
 # ----------------------------------------------------------------------
-# token fingerprints
+# signal digests (the planner's signal-side key)
 # ----------------------------------------------------------------------
 class TestArrayToken:
     def test_token_changes_on_mutation(self):
         x = np.arange(12, dtype=np.float32).reshape(4, 3)
-        before = plan.array_token(x)
+        before = cache.digest(x)
         x[2, 1] += 1.0
-        assert plan.array_token(x) != before
+        assert cache.digest(x) != before
 
     def test_token_stable_and_shape_sensitive(self):
         x = np.ones((5, 2), dtype=np.float32)
-        assert plan.array_token(x) == plan.array_token(x)
-        assert plan.array_token(x) != plan.array_token(x.reshape(2, 5))
-        assert plan.array_token(np.empty((0, 3), dtype=np.float32)) \
-            == plan.array_token(np.empty((0, 3), dtype=np.float32))
+        assert cache.digest(x) == cache.digest(x)
+        assert cache.digest(x) != cache.digest(x.reshape(2, 5))
+        assert cache.digest(np.empty((0, 3), dtype=np.float32)) \
+            == cache.digest(np.empty((0, 3), dtype=np.float32))

@@ -9,9 +9,7 @@ from repro.errors import GraphError, ReproError
 from repro.filters import make_filter
 from repro.spectral import (
     MAX_DENSE_NODES,
-    clear_eig_cache,
     cluster_separation,
-    eig_cache_stats,
     extremal_eigenvalues,
     laplacian_eigendecomposition,
     low_frequency_mass,
@@ -70,10 +68,8 @@ class TestEigObservability:
         from repro import telemetry
 
         telemetry.shutdown()
-        clear_eig_cache()
         yield
         telemetry.shutdown()
-        clear_eig_cache()
 
     def test_dense_eig_flops_counted(self, tiny_graph):
         from repro import telemetry
@@ -105,13 +101,12 @@ class TestEigObservability:
         first = laplacian_eigendecomposition(tiny_graph)
         second = laplacian_eigendecomposition(tiny_graph)
         metrics = telemetry.get_metrics()
-        # One actual O(n^3) solve; the second call is a cache hit.
+        # One actual O(n^3) solve; the second call is a hit in the
+        # graph's memo (its only hit: the Laplacian is not re-requested).
         assert metrics.counter("ops.eig.calls").value == 1
-        assert metrics.counter("cache.eig.hit").value == 1
-        assert metrics.counter("cache.eig.miss").value == 1
+        assert metrics.counter("cache.norm_adj.hit").value == 1
         assert first[0] is second[0] and first[1] is second[1]
-        stats = eig_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert tiny_graph.norm_memo_stats()["hits"] == 1
 
     def test_cached_arrays_are_read_only(self, tiny_graph):
         eigenvalues, eigenvectors = laplacian_eigendecomposition(tiny_graph)
@@ -121,10 +116,13 @@ class TestEigObservability:
             eigenvectors[0, 0] = 99.0
 
     def test_distinct_rho_distinct_entries(self, tiny_graph):
-        laplacian_eigendecomposition(tiny_graph, rho=0.5)
-        laplacian_eigendecomposition(tiny_graph, rho=1.0)
-        assert eig_cache_stats()["misses"] == 2
-        assert eig_cache_stats()["entries"] == 2
+        from repro import telemetry
+
+        telemetry.configure()
+        first = laplacian_eigendecomposition(tiny_graph, rho=0.5)
+        second = laplacian_eigendecomposition(tiny_graph, rho=1.0)
+        assert telemetry.get_metrics().counter("ops.eig.calls").value == 2
+        assert first[0] is not second[0]
 
     def test_mutation_invalidates(self, tiny_graph):
         from repro import telemetry
