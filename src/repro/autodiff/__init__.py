@@ -17,7 +17,6 @@ from .tensor import (
     is_grad_enabled,
     no_grad,
     remove_allocation_hook,
-    set_allocation_hook,
     set_op_hook,
     stack,
     where,
@@ -33,7 +32,6 @@ __all__ = [
     "is_grad_enabled",
     "add_allocation_hook",
     "remove_allocation_hook",
-    "set_allocation_hook",
     "set_op_hook",
     "spmm",
     "spmm_numpy",

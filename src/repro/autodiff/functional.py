@@ -103,17 +103,16 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout: zero with probability ``p``, rescale by ``1/(1-p)``.
 
-    A no-op when ``training`` is false or ``p == 0``.
+    A no-op when ``training`` is false, ``p == 0`` or under
+    :func:`~repro.autodiff.tensor.no_grad`; the no-op paths draw no mask,
+    so they leave ``rng`` untouched.
     """
     if not 0.0 <= p < 1.0:
         raise AutodiffError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if not training or p == 0.0 or not is_grad_enabled():
         return x
     if rng is None:
         rng = np.random.default_rng()
     keep = (rng.random(x.shape) >= p).astype(x.dtype)
     scale = 1.0 / (1.0 - p)
-    mask = Tensor(keep * scale)
-    if not is_grad_enabled():
-        return x
-    return x * mask
+    return x * Tensor(keep * scale)

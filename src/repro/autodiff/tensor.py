@@ -15,6 +15,15 @@ Design notes
   fine).
 - Broadcasting follows numpy semantics; gradients are un-broadcast by
   summing over the broadcast axes.
+- Backward closures compute only the gradients someone reads: a closure
+  returns ``None`` for every parent whose ``requires_grad`` is false
+  (constants such as precomputed filter bases), so no array is built for
+  a gradient that would be thrown away.
+- Gradients flowing between nodes may be read-only views (``sum``
+  returns ``np.broadcast_to(grad, shape)`` rather than a copy) and are
+  never mutated in place: closures, accumulation and the optimizers all
+  build new arrays, and a leaf's ``.grad`` is always a fresh copy that
+  owns its data.
 - An optional allocation hook lets the runtime layer meter every array the
   engine materializes, which is how the simulated device accounts "GPU"
   memory without a GPU.
@@ -36,8 +45,6 @@ _grad_enabled = True
 #: A tuple (not a list) so dispatch iterates over an immutable snapshot:
 #: a hook that adds/removes hooks mid-notification cannot shear the loop.
 _allocation_hooks: tuple = ()
-#: The adapter currently installed by the deprecated single-slot setter.
-_legacy_allocation_hook: Optional[Callable] = None
 _op_hook: Optional[Callable[[str, int, int], None]] = None
 
 #: Signature of a registered allocation hook:
@@ -73,30 +80,6 @@ def remove_allocation_hook(hook: AllocationHook) -> None:
     """
     global _allocation_hooks
     _allocation_hooks = tuple(h for h in _allocation_hooks if h != hook)
-
-
-def set_allocation_hook(hook: Optional[Callable[[int], None]]) -> None:
-    """Deprecated single-slot setter kept for backward compatibility.
-
-    Historical callers installed ``hook(nbytes)`` and relied on ``None``
-    to remove it; this shim adapts the old one-argument signature onto
-    :func:`add_allocation_hook` / :func:`remove_allocation_hook`. Only the
-    shim's own previous hook is displaced — hooks registered through the
-    multi-subscriber API are untouched, which is the fix for
-    ``DeviceModel.step()`` silently clobbering the span tracer's
-    allocation attribution.
-    """
-    global _legacy_allocation_hook
-    if _legacy_allocation_hook is not None:
-        remove_allocation_hook(_legacy_allocation_hook)
-        _legacy_allocation_hook = None
-    if hook is not None:
-        def adapter(nbytes: int, array: np.ndarray, op: str,
-                    _hook=hook) -> None:
-            _hook(nbytes)
-
-        _legacy_allocation_hook = adapter
-        add_allocation_hook(adapter)
 
 
 def set_op_hook(hook: Optional[Callable[[str, int, int], None]]) -> None:
@@ -378,7 +361,10 @@ class Tensor:
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape))
+            return (
+                _unbroadcast(grad, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad, b.shape) if b.requires_grad else None,
+            )
 
         return Tensor._make(data, (a, b), backward, "add")
 
@@ -391,7 +377,10 @@ class Tensor:
         _notify_ewise(data)
 
         def backward(grad: np.ndarray):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape))
+            return (
+                _unbroadcast(grad, a.shape) if a.requires_grad else None,
+                _unbroadcast(-grad, b.shape) if b.requires_grad else None,
+            )
 
         return Tensor._make(data, (a, b), backward, "sub")
 
@@ -406,8 +395,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * b.data, a.shape),
-                _unbroadcast(grad * a.data, b.shape),
+                _unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward, "mul")
@@ -422,8 +411,9 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad / b.data, a.shape),
-                _unbroadcast(-grad * a.data / (b.data * b.data), b.shape),
+                _unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-grad * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None,
             )
 
         return Tensor._make(data, (a, b), backward, "div")
@@ -571,7 +561,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a.shape),)
 
         return Tensor._make(np.asarray(data), (a,), backward, "sum")
 
@@ -680,9 +670,9 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(grad: np.ndarray):
         slicer: list = [slice(None)] * grad.ndim
         grads = []
-        for i in range(len(parts)):
+        for i, part in enumerate(parts):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(grad[tuple(slicer)])
+            grads.append(grad[tuple(slicer)] if part.requires_grad else None)
         return tuple(grads)
 
     return Tensor._make(data, parts, backward, "concat")
@@ -694,7 +684,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in parts], axis=axis)
 
     def backward(grad: np.ndarray):
-        return tuple(np.take(grad, i, axis=axis) for i in range(len(parts)))
+        return tuple(
+            np.take(grad, i, axis=axis) if part.requires_grad else None
+            for i, part in enumerate(parts)
+        )
 
     return Tensor._make(data, parts, backward, "stack")
 
@@ -707,8 +700,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         return (
-            _unbroadcast(np.where(cond, grad, 0.0), a.shape),
-            _unbroadcast(np.where(cond, 0.0, grad), b.shape),
+            _unbroadcast(np.where(cond, grad, 0.0), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(cond, 0.0, grad), b.shape) if b.requires_grad else None,
         )
 
     return Tensor._make(data, (a, b), backward, "where")

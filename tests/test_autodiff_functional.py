@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.autodiff import functional as F
 from repro.errors import AutodiffError
 
@@ -141,3 +141,12 @@ class TestDropout:
         a = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(5)).data
         b = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(5)).data
         np.testing.assert_array_equal(a, b)
+
+    def test_noop_under_no_grad_draws_no_mask(self, rng):
+        x = Tensor(rng.normal(size=(10, 10)))
+        gen = np.random.default_rng(5)
+        state = gen.bit_generator.state
+        with no_grad():
+            out = F.dropout(x, 0.5, training=True, rng=gen)
+        assert out is x
+        assert gen.bit_generator.state == state

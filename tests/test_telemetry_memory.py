@@ -50,7 +50,6 @@ def _clean_telemetry():
     telemetry.shutdown()
     yield
     telemetry.shutdown()
-    tensor_mod.set_allocation_hook(None)
 
 
 def _tensor(kib: int, **kwargs) -> Tensor:
@@ -126,19 +125,6 @@ class TestAllocationHookDispatch:
             tensor_mod._allocation_hooks = ()
         assert ops[0] == "leaf"
         assert "add" in ops
-
-    def test_legacy_setter_still_works_and_replaces_itself(self):
-        first, second = [], []
-        tensor_mod.set_allocation_hook(first.append)
-        tensor_mod.set_allocation_hook(second.append)  # replaces, not stacks
-        try:
-            _tensor(2)
-            assert first == []
-            assert second == [2048]
-        finally:
-            tensor_mod.set_allocation_hook(None)
-        _tensor(1)
-        assert second == [2048]
 
     def test_device_step_and_ledger_both_metered_nested(self):
         """Satellite regression: a DeviceModel step inside a traced block
